@@ -7,8 +7,9 @@ Measures and records in ``BENCH_PR10.json`` (repo root):
   load level.  Levels above the box's capacity queue up and report
   honestly large tails — the curve's knee is the finding, not a bug.
 - **Swap-pause histogram** (real clock, lockstep): the time the serve
-  loop spends inside a hot-swap (fleet release → redeploy → re-acquire),
-  with a small fixed-bucket histogram alongside p50/p99.
+  loop spends inside a hot-swap (the redeploy's column sync into the old
+  live network and the fleet slot refresh), with a small fixed-bucket
+  histogram alongside p50/p99.
 - **Daemon throughput at 1/100/1000 tenants** (lockstep): events/s
   through the full stage → train → finish pipeline, stacked fleet path.
 - **The never-blocks assertion** (threaded): with a trainer deliberately

@@ -11,6 +11,7 @@ measures that conjecture directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,6 @@ class ShadowModelManager:
         self.live = self.model
         self.shadow = self.model.clone()
 
-    def infer(self, input_class: int) -> np.ndarray:
-        """Serve a prediction from the live copy (never trains it)."""
-        return self.live.step(input_class, train=False)
-
     def observe(self, input_class: int, target_class: int,
                 lr_scale: float = 1.0) -> float:
         """Record an observed transition: score the live copy, train the
@@ -89,24 +86,32 @@ class ShadowModelManager:
         return (self.confidence_ema < self.redeploy_below
                 or self._staleness >= self.max_staleness)
 
-    def redeploy(self) -> None:
-        """Promote the shadow to live; fork a fresh shadow from it."""
-        self.live = self.shadow
-        self.shadow = self.live.clone()
+    def redeploy(self) -> np.ndarray | None:
+        """Promote the shadow to live; the old live copy, brought up to
+        date with ``sync_from``, trains on as the new shadow (a role
+        exchange: nothing is allocated).  Returns what ``sync_from``
+        returned — for the Hebbian network, the readout columns in
+        which the new live weights differ from the old."""
+        old_live = self.live
+        changed = old_live.sync_from(self.shadow)
+        self.live, self.shadow = self.shadow, old_live
         self.redeploys += 1
         self._staleness = 0
         self.confidence_ema = max(self.confidence_ema, self.redeploy_below)
+        return changed
 
     def discard_shadow(self) -> None:
-        """Throw the shadow's training away; refork it from live.
+        """Throw the shadow's training away; resync it from live.
 
         The escape hatch for a corrupted shadow (e.g. a poisoned update
-        caught by :func:`weights_finite` at swap admission): the live
-        copy keeps serving untouched and background training restarts
-        from its weights.  Resets the staleness backstop — the discarded
-        steps no longer count toward a forced redeploy.
+        caught by :func:`weights_finite` at swap admission): the shadow
+        takes the live weights and state back and the two objects swap
+        roles, so serving continues unchanged and background training
+        restarts from the live weights.  Resets the staleness backstop —
+        the discarded steps no longer count toward a forced redeploy.
         """
-        self.shadow = self.live.clone()
+        self.shadow.sync_from(self.live)
+        self.live, self.shadow = self.shadow, self.live
         self._staleness = 0
 
     @property
@@ -126,7 +131,13 @@ def weights_finite(model: SequenceModel) -> bool:
         return all(bool(np.isfinite(values).all())
                    for values in model.net.params.values())
     if isinstance(model, SparseHebbianNetwork):
-        return bool(np.isfinite(model.w_out).all())
+        # One pass, no temporary: a finite sum proves every entry finite;
+        # only a non-finite one (a bad entry, or overflow) needs the
+        # exact elementwise check.
+        w_out = model.w_out
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(w_out, axis=None)
+        return math.isfinite(total) or bool(np.isfinite(w_out).all())
     raise TypeError(f"don't know how to validate {type(model).__name__}")
 
 

@@ -59,7 +59,13 @@ class SequenceModel(Protocol):
         ...
 
     def clone(self) -> "SequenceModel":
-        """Deep copy (weights + state); used by the availability protocol."""
+        """Deep copy (weights + state)."""
+        ...
+
+    def sync_from(self, source: "SequenceModel") -> np.ndarray | None:
+        """Become a copy of same-config ``source`` (weights + state) in
+        place, without allocating; the availability protocol's swaps.
+        May return what changed (the Hebbian network: its columns)."""
         ...
 
     def evaluate_sequence(self, classes: list[int]) -> float:

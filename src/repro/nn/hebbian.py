@@ -49,11 +49,12 @@ figure for the Hebbian network.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .backends import hebbian_kernels, resolve_backend
-from .base import evaluate_sequence_probs
+from .base import SequenceModel, evaluate_sequence_probs
 from .quantization import snap_to_grid
 
 
@@ -168,6 +169,68 @@ _DELTA_CACHE_CAP = 65536
 #: Sparse-readout index entries kept (two ~connectivity*k*V index arrays
 #: per code, so the memory cap is tighter than the code cache's).
 _READOUT_IDX_CAP = 4096
+
+
+def _select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
+    """One rollout step: the top ``width`` (class, probability) pairs,
+    most probable first — the scalar and fleet rollouts' shared code."""
+    if width == 2 and probs.size > 2:
+        # Same selection and ordering as the general branch below, with
+        # the two-element argsort done as one scalar compare:
+        # argsort([v0, v1]) is [0, 1] when v0 <= v1 (numpy's small sorts
+        # are insertion sorts, stable on ties), so reversed descending
+        # order is [1, 0] exactly then.
+        part = probs.argpartition(-2)
+        i0 = part.item(-2)
+        i1 = part.item(-1)
+        v0 = probs.item(i0)
+        v1 = probs.item(i1)
+        if v0 <= v1:
+            return [(i1, v1), (i0, v0)]
+        return [(i0, v0), (i1, v1)]
+    if width < probs.size:
+        # top-width selection, sorted within the slice
+        part = probs.argpartition(-width)[-width:]
+        vals = probs[part]
+        order = vals.argsort()[::-1]
+        return list(zip(part[order].tolist(), vals[order].tolist()))
+    top_arr = probs.argsort()[::-1][:width]
+    return list(zip(top_arr.tolist(), probs[top_arr].tolist()))
+
+
+def copy_columns(dst: np.ndarray, src: np.ndarray,
+                 columns: np.ndarray) -> None:
+    """``dst[:, c] = src[:, c]`` for every ``c`` set in the bool mask
+    ``columns`` — in place, without a temporary."""
+    for c in np.flatnonzero(columns).tolist():
+        dst[:, c] = src[:, c]
+
+
+def apply_learn(kern: Any | None, w_flat: np.ndarray, flat: np.ndarray,
+                delta: np.ndarray, wm: float) -> None:
+    """Eq. 1 write: add ``delta`` at the *distinct* offsets ``flat`` and
+    clip to ``[-wm, wm]``.  Distinct offsets make the compiled in-place
+    kernel equal to the numpy gather-modify-scatter."""
+    if kern is not None:
+        kern.learn_apply(w_flat, flat, delta, wm)
+        return
+    vals = w_flat.take(flat)
+    vals += delta
+    np.minimum(vals, wm, out=vals)
+    np.maximum(vals, -wm, out=vals)
+    w_flat[flat] = vals
+
+
+def apply_punish(kern: Any | None, w_flat: np.ndarray, flat: np.ndarray,
+                 lr: float, wm: float) -> None:
+    """The error-driven depression write: subtract ``lr``, clip below."""
+    if kern is not None:
+        kern.punish_apply(w_flat, flat, lr, wm)
+        return
+    wvals = w_flat.take(flat)
+    wvals -= lr
+    np.maximum(wvals, -wm, out=wvals)
+    w_flat[flat] = wvals
 
 
 class SparseHebbianNetwork:
@@ -290,6 +353,7 @@ class SparseHebbianNetwork:
                                for t, rows in enumerate(self._out_rows))
         self._scratch_active = np.zeros(n, dtype=bool)
         self._probs_buf = np.empty(v)
+        self._changed = np.zeros(v, dtype=bool)  # sync_from's result
         # (class, context) -> k-WTA code; valid because the projections the
         # code depends on are fixed.  Disabled under plastic_hidden.
         self._code_cache: dict | None = (
@@ -321,6 +385,8 @@ class SparseHebbianNetwork:
 
     @property
     def w_out(self) -> np.ndarray:
+        """The learned readout; write it through the setter, never in
+        place (``sync_from`` copies only columns marked as written)."""
         return self._w_out
 
     @w_out.setter
@@ -331,6 +397,8 @@ class SparseHebbianNetwork:
         arr = np.ascontiguousarray(value, dtype=np.float64)
         self._w_out = arr
         self._w_out_flat = arr.reshape(-1)
+        # A wholesale write may have touched any entry, connected or not.
+        self._dirty = np.ones(arr.shape[1], dtype=bool)
         if self._backend == "int8":
             # Serving mirror: the readout scores from these quantized
             # values while training keeps updating the float64 weights.
@@ -424,15 +492,25 @@ class SparseHebbianNetwork:
         update arithmetic cannot produce ``-0.0``), so dropping them
         changes no bits.  Pinned by tests against the dense reference.
         """
-        entry = self._readout_idx.get(id(active))
+        entry = self._readout_entry(active)
         if entry is None:
-            if id(active) not in self._code_masks:
-                # Foreign (non-resident) code: dense row sum, as before.
-                # np.add.reduce is what ndarray.sum calls underneath minus
-                # a dispatch layer.  (Cold path: stays numpy under every
-                # backend; serves from the mirror like the sparse path.)
-                return np.add.reduce(self._serve_w.take(active, axis=0),
-                                     axis=0)
+            # Foreign (non-resident) code: dense row sum, as before.
+            # np.add.reduce is what ndarray.sum calls underneath minus
+            # a dispatch layer.  (Cold path: stays numpy under every
+            # backend; serves from the mirror like the sparse path.)
+            return np.add.reduce(self._serve_w.take(active, axis=0), axis=0)
+        cols, flat = entry
+        if self._kern is not None:
+            return self._kern.readout_sparse(self._serve_flat, flat, cols)
+        return np.bincount(cols, weights=self._serve_flat.take(flat),
+                           minlength=self.config.vocab_size)
+
+    def _readout_entry(self, active: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(cols, flat) indices of the connected entries of ``active``'s
+        rows, row-major; None for a foreign (non-resident) code."""
+        entry = self._readout_idx.get(id(active))
+        if entry is None and id(active) in self._code_masks:
             rows_i, cols = self.mask_out[active].nonzero()
             flat = (active[rows_i] * self.config.vocab_size
                     + cols).astype(np.intp)
@@ -440,11 +518,7 @@ class SparseHebbianNetwork:
             if len(self._readout_idx) >= _READOUT_IDX_CAP:
                 self._readout_idx.clear()
             self._readout_idx[id(active)] = entry
-        cols, flat = entry
-        if self._kern is not None:
-            return self._kern.readout_sparse(self._serve_flat, flat, cols)
-        return np.bincount(cols, weights=self._serve_flat.take(flat),
-                           minlength=self.config.vocab_size)
+        return entry
 
     def probabilities(self, scores: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
@@ -533,49 +607,20 @@ class SparseHebbianNetwork:
                 self._learn(self.hidden_code(input_class), target_class,
                             None, lr_scale)
             return
-        lr = config.lr * lr_scale
-        neg = -lr * config.negative_scale
-        code_masks = self._code_masks
-        delta_cache = self._delta_cache
-        scratch = self._scratch_active
         flats = []
         deltas = []
         for input_class, target_class in pairs:
             self._check_class(input_class)
             self._check_class(target_class)
-            active = self.hidden_code(input_class)
-            key = (id(active), target_class, lr_scale)
-            delta = delta_cache.get(key)
-            if delta is None:
-                rows = self._out_rows[target_class]
-                mask = code_masks.get(id(active))
-                if mask is not None:
-                    is_active = mask[rows]
-                else:
-                    scratch[active] = True
-                    is_active = scratch[rows]
-                    scratch[active] = False
-                delta = np.where(is_active, lr, neg)
-                if mask is not None:
-                    if len(delta_cache) >= _DELTA_CACHE_CAP:
-                        delta_cache.clear()
-                    delta_cache[key] = delta
+            deltas.append(self._column_delta(self.hidden_code(input_class),
+                                             target_class, lr_scale))
             flats.append(self._out_flat[target_class])
-            deltas.append(delta)
+        # Distinct targets => disjoint columns => distinct offsets.
         flat = np.concatenate(flats)
-        w_flat = self._w_out_flat
-        wm = config.weight_max
-        if self._kern is not None:
-            # Distinct targets => disjoint columns => distinct offsets,
-            # so the in-place kernel equals the gather/scatter below.
-            self._kern.learn_apply(w_flat, flat, np.concatenate(deltas), wm)
-        else:
-            vals = w_flat.take(flat)
-            vals += np.concatenate(deltas)
-            np.minimum(vals, wm, out=vals)
-            np.maximum(vals, -wm, out=vals)
-            w_flat[flat] = vals
+        apply_learn(self._kern, self._w_out_flat, flat,
+                    np.concatenate(deltas), config.weight_max)
         self._sync_serving(flat)
+        self._dirty[targets] = True
 
     def predict_rollout(self, width: int = 1, length: int = 1
                         ) -> list[list[tuple[int, float]]]:
@@ -592,30 +637,7 @@ class SparseHebbianNetwork:
         if probs is None:
             probs = self.probabilities(scores)
         for remaining in range(length - 1, -1, -1):
-            if width == 2 and probs.size > 2:
-                # Same selection and ordering as the general branch below,
-                # with the two-element argsort done as one scalar compare:
-                # argsort([v0, v1]) is [0, 1] when v0 <= v1 (numpy's small
-                # sorts are insertion sorts, stable on ties), so reversed
-                # descending order is [1, 0] exactly then.
-                part = probs.argpartition(-2)
-                i0 = part.item(-2)
-                i1 = part.item(-1)
-                v0 = probs.item(i0)
-                v1 = probs.item(i1)
-                if v0 <= v1:
-                    step = [(i1, v1), (i0, v0)]
-                else:
-                    step = [(i0, v0), (i1, v1)]
-            elif width < probs.size:
-                # top-width selection, sorted within the slice
-                part = probs.argpartition(-width)[-width:]
-                vals = probs[part]
-                order = vals.argsort()[::-1]
-                step = list(zip(part[order].tolist(), vals[order].tolist()))
-            else:
-                top_arr = probs.argsort()[::-1][:width]
-                step = list(zip(top_arr.tolist(), probs[top_arr].tolist()))
+            step = _select_topk(probs, width)
             out.append(step)
             if not remaining:
                 break  # the next readout would be discarded
@@ -638,28 +660,62 @@ class SparseHebbianNetwork:
         The fixed structures (masks, signatures, tie-break jitter, and the
         precomputed kernels derived from them) are shared between clones —
         nothing ever mutates them — so cloning costs only the learned
-        weight copies instead of a full re-initialization.
+        weight copies instead of a full re-initialization.  Without
+        ``plastic_hidden`` the input projection ``w_in`` is fixed too
+        (only ``_adapt_hidden`` writes it) and is shared as well.
         """
         twin = object.__new__(SparseHebbianNetwork)
         twin.__dict__.update(self.__dict__)
-        twin.w_in = self.w_in.copy()
         twin.w_out = self._w_out.copy()  # setter rebuilds the flat alias
         twin._pre_buf = np.empty(self.config.hidden_dim)
         twin._probs_buf = np.empty(self.config.vocab_size)
         twin._scratch_active = np.zeros(self.config.hidden_dim, dtype=bool)
+        twin._changed = np.zeros(self.config.vocab_size, dtype=bool)
         if self.config.plastic_hidden:
-            # Plastic clones diverge; give each its own (disabled) cache
-            # and recompute the input drive from the copied weights.
+            # Plastic clones diverge; give each its own input projection
+            # and (disabled) cache, recomputing the drive per call.
+            twin.w_in = self.w_in.copy()
             twin._code_cache = None
             twin._code_masks = {}
             twin._delta_cache = {}
             twin._readout_idx = {}
-        for src, attr in ((self._prev_active, "_prev_active"),
-                          (self._last_scores, "_last_scores"),
-                          (self._last_active, "_last_active"),
-                          (self._last_probs, "_last_probs")):
-            setattr(twin, attr, None if src is None else src.copy())
+        twin._copy_sequence_state(self)
         return twin
+
+    def sync_from(self, source: SequenceModel) -> np.ndarray:
+        """Make this network equal to ``source.clone()``, in place.
+
+        Exact for a twin pair (networks cloned or synced from one
+        another): every ``w_out`` write marks the columns it touched in
+        ``_dirty`` — the setter marks all, making this a full sync — so
+        the pair differs only in columns marked on either side, and
+        only those are copied.  Returns that column mask (a scratch
+        buffer, valid until the next call) for mirrors of this
+        network's old weights, like a fleet slot.
+        """
+        if not (isinstance(source, SparseHebbianNetwork)
+                and (source.config is self.config
+                     or source.config == self.config)):
+            raise ValueError("sync_from needs a network of the same config")
+        changed = np.logical_or(self._dirty, source._dirty, out=self._changed)
+        copy_columns(self._w_out, source._w_out, changed)
+        if self._serve_w is not self._w_out:
+            copy_columns(self._serve_w, source._serve_w, changed)
+        if self.w_in is not source.w_in:
+            np.copyto(self.w_in, source.w_in)
+        self._dirty.fill(False)
+        source._dirty.fill(False)
+        self._copy_sequence_state(source)
+        return changed
+
+    def _copy_sequence_state(self, source: "SparseHebbianNetwork") -> None:
+        self._prev_class = source._prev_class
+        self._prev_pred = source._prev_pred
+        for attr in ("_prev_active", "_last_scores", "_last_active",
+                     "_last_probs"):
+            value = getattr(source, attr)
+            setattr(self, attr, None if value is None else value.copy())
+        self.train_steps = source.train_steps
 
     def restore_state(self, *, w_out: np.ndarray, prev_class: int | None,
                       prev_active: np.ndarray | None, prev_pred: int | None,
@@ -705,48 +761,51 @@ class SparseHebbianNetwork:
         lr = config.lr * lr_scale
         flat = self._out_flat[target]
         w_flat = self._w_out_flat
-        key = (id(active), target, lr_scale)
-        delta = self._delta_cache.get(key)
-        if delta is None:
-            rows = self._out_rows[target]
-            mask = self._code_masks.get(id(active))
-            if mask is not None:
-                is_active = mask[rows]
-            else:
-                scratch = self._scratch_active
-                scratch[active] = True
-                is_active = scratch[rows]
-                scratch[active] = False
-            delta = np.where(is_active, lr, -lr * config.negative_scale)
-            if mask is not None:
-                if len(self._delta_cache) >= _DELTA_CACHE_CAP:
-                    self._delta_cache.clear()
-                self._delta_cache[key] = delta
+        delta = self._column_delta(active, target, lr_scale)
         wm = config.weight_max
-        if self._kern is not None:
-            # In-place update == gather-modify-scatter: the flat offsets
-            # of one connected column are distinct.
-            self._kern.learn_apply(w_flat, flat, delta, wm)
-        else:
-            vals = w_flat.take(flat)
-            vals += delta
-            np.minimum(vals, wm, out=vals)
-            np.maximum(vals, -wm, out=vals)
-            w_flat[flat] = vals
+        apply_learn(self._kern, w_flat, flat, delta, wm)
         self._sync_serving(flat)
+        self._dirty[target] = True
 
         if config.punish_wrong and predicted is not None and predicted != target:
             wrong = active[self.mask_out[active, predicted]]
             if wrong.size:
                 wrong_flat = wrong * config.vocab_size + predicted
-                if self._kern is not None:
-                    self._kern.punish_apply(w_flat, wrong_flat, lr, wm)
-                else:
-                    wvals = w_flat.take(wrong_flat)
-                    wvals -= lr
-                    np.maximum(wvals, -wm, out=wvals)
-                    w_flat[wrong_flat] = wvals
+                apply_punish(self._kern, w_flat, wrong_flat, lr, wm)
                 self._sync_serving(wrong_flat)
+                self._dirty[predicted] = True
+
+    def _column_delta(self, active: np.ndarray, target: int,
+                      lr_scale: float) -> np.ndarray:
+        """Eq. 1 update of the target column's connected rows: ``+lr``
+        where ``active`` fires, the depression term elsewhere.
+
+        Memoized per (cache-resident code, target, lr_scale): the delta
+        depends only on the code's membership and the fixed learning
+        rate, never on the weights, so one entry serves every clone and
+        every fleet lane sharing this network's caches.
+        """
+        key = (id(active), target, lr_scale)
+        delta = self._delta_cache.get(key)
+        if delta is not None:
+            return delta
+        config = self.config
+        lr = config.lr * lr_scale
+        rows = self._out_rows[target]
+        mask = self._code_masks.get(id(active))
+        if mask is not None:
+            is_active = mask[rows]
+        else:
+            scratch = self._scratch_active
+            scratch[active] = True
+            is_active = scratch[rows]
+            scratch[active] = False
+        delta = np.where(is_active, lr, -lr * config.negative_scale)
+        if mask is not None:
+            if len(self._delta_cache) >= _DELTA_CACHE_CAP:
+                self._delta_cache.clear()
+            self._delta_cache[key] = delta
+        return delta
 
     def _adapt_hidden(self, input_class: int, active: np.ndarray,
                       lr_scale: float) -> None:

@@ -33,6 +33,8 @@ cohort round advance):
 * ``acquire_lane``/``release_lane`` adopt a live scalar network into a
   fleet slot and hand its (bit-identical) state back out, so lanes can
   join and leave mid-run as cohort lanes drain and refill.
+* ``refresh_lane`` brings a slot up to date after its network took a
+  §5.5 hot swap, copying only the weight columns the swap changed.
 * ``step_lanes`` steps an arbitrary lane subset with per-lane train
   flags — the batched mirror of ``SparseHebbianNetwork.step``.
 * ``train_pairs_lanes`` replays per-lane episode batches — the batched
@@ -59,37 +61,14 @@ import numpy as np
 
 from .backends import hebbian_kernels
 from .hebbian import (
-    _DELTA_CACHE_CAP,
-    _READOUT_IDX_CAP,
     SparseHebbianNetwork,
+    _select_topk,
+    apply_learn,
+    apply_punish,
+    copy_columns,
 )
 
 __all__ = ["HebbianFleet"]
-
-
-def _select_topk(probs: np.ndarray, width: int) -> list[tuple[int, float]]:
-    """One rollout selection step — verbatim ``predict_rollout`` branches.
-
-    Kept as a module function so the fleet's per-lane selection is the
-    same code shape (and the same numpy call sequence, hence the same
-    bits) as the scalar network's.
-    """
-    if width == 2 and probs.size > 2:
-        part = probs.argpartition(-2)
-        i0 = part.item(-2)
-        i1 = part.item(-1)
-        v0 = probs.item(i0)
-        v1 = probs.item(i1)
-        if v0 <= v1:
-            return [(i1, v1), (i0, v0)]
-        return [(i0, v0), (i1, v1)]
-    if width < probs.size:
-        part = probs.argpartition(-width)[-width:]
-        vals = probs[part]
-        order = vals.argsort()[::-1]
-        return list(zip(part[order].tolist(), vals[order].tolist()))
-    top_arr = probs.argsort()[::-1][:width]
-    return list(zip(top_arr.tolist(), probs[top_arr].tolist()))
 
 
 class HebbianFleet:
@@ -192,6 +171,33 @@ class HebbianFleet:
 
     def release_lane(self, lane: int, net: SparseHebbianNetwork) -> None:
         """Hand a slot's state back to ``net`` and free the slot."""
+        self._restore_into(net, lane)
+        self._clear_sequence(lane)
+        self._free.append(lane)
+
+    def refresh_lane(self, lane: int, net: SparseHebbianNetwork,
+                     columns: np.ndarray) -> None:
+        """Bring a slot up to date with ``net`` after a §5.5 hot swap.
+
+        Copies only ``columns`` — the mask the swap's ``sync_from``
+        returned, in which ``net`` differs from the slot — and clears
+        the slot's sequence context: the end state of ``release_lane``,
+        ``net.reset_state()`` and ``acquire_lane``, without whole-block
+        copies.
+        """
+        copy_columns(self.w_out[lane], net.w_out, columns)
+        self._clear_sequence(lane)
+        self.train_steps[lane] = net.train_steps
+
+    def _clear_sequence(self, lane: int) -> None:
+        self._prev_class[lane] = None
+        self._prev_active[lane] = None
+        self._prev_pred[lane] = None
+        self._last_active[lane] = None
+        self._has_last[lane] = False
+
+    def _restore_into(self, net: SparseHebbianNetwork, lane: int) -> None:
+        """Install lane ``lane``'s weights and sequence state in ``net``."""
         has_last = self._has_last[lane]
         net.restore_state(
             w_out=self.w_out[lane].copy(),
@@ -202,12 +208,6 @@ class HebbianFleet:
             last_scores=self._scores_rows[lane].copy() if has_last else None,
             last_probs=self._probs_rows[lane].copy() if has_last else None,
             train_steps=int(self.train_steps[lane]))
-        self._prev_class[lane] = None
-        self._prev_active[lane] = None
-        self._prev_pred[lane] = None
-        self._last_active[lane] = None
-        self._has_last[lane] = False
-        self._free.append(lane)
 
     def _grow(self, min_capacity: int) -> None:
         """Double capacity (at least to ``min_capacity``); existing lane
@@ -237,57 +237,6 @@ class HebbianFleet:
             [self.train_steps, np.zeros(grown, dtype=np.int64)])
         self._free.extend(range(new - 1, old - 1, -1))
         self.n_lanes = new
-
-    # ------------------------------------------------------------------
-    # Shared-structure helpers (prototype caches, per-lane offsets)
-    # ------------------------------------------------------------------
-    def _delta_for(self, active: np.ndarray, target: int,
-                   lr_scale: float) -> np.ndarray:
-        """Eq. 1 column delta for (code, target) — same memo as scalar.
-
-        Deltas depend only on the code's membership and the fixed
-        learning-rate constants, never on lane weights, so one cached
-        delta serves every lane.
-        """
-        proto = self.prototype
-        config = proto.config
-        lr = config.lr * lr_scale
-        key = (id(active), target, lr_scale)
-        delta = proto._delta_cache.get(key)
-        if delta is None:
-            rows = proto._out_rows[target]
-            mask = proto._code_masks.get(id(active))
-            if mask is not None:
-                is_active = mask[rows]
-            else:
-                scratch = proto._scratch_active
-                scratch[active] = True
-                is_active = scratch[rows]
-                scratch[active] = False
-            delta = np.where(is_active, lr, -lr * config.negative_scale)
-            if mask is not None:
-                if len(proto._delta_cache) >= _DELTA_CACHE_CAP:
-                    proto._delta_cache.clear()
-                proto._delta_cache[key] = delta
-        return delta
-
-    def _readout_entry(self,
-                       active: np.ndarray) -> tuple[np.ndarray,
-                                                    np.ndarray] | None:
-        """(cols, flat) sparse-readout indices, or None for foreign codes
-        (which take the scalar path's dense row-sum fallback)."""
-        proto = self.prototype
-        entry = proto._readout_idx.get(id(active))
-        if entry is None:
-            if id(active) not in proto._code_masks:
-                return None
-            rows_i, cols = proto.mask_out[active].nonzero()
-            flat = (active[rows_i] * self.vocab_size + cols).astype(np.intp)
-            entry = (cols.astype(np.intp), flat)
-            if len(proto._readout_idx) >= _READOUT_IDX_CAP:
-                proto._readout_idx.clear()
-            proto._readout_idx[id(active)] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # The batched step
@@ -371,7 +320,7 @@ class HebbianFleet:
             prev_active = self._prev_active[t]
             offset = t * self._block
             flats.append(proto._out_flat[target] + offset)
-            deltas.append(self._delta_for(prev_active, target, lr_scale))
+            deltas.append(proto._column_delta(prev_active, target, lr_scale))
             predicted = self._prev_pred[t]
             if (config.punish_wrong and predicted is not None
                     and predicted != target):
@@ -380,27 +329,11 @@ class HebbianFleet:
                     punish_flats.append(
                         wrong * vocab + predicted + offset)
         if flats:
-            flat = np.concatenate(flats)
-            w_flat = self._w_flat
-            if self._kern is not None:
-                self._kern.learn_apply(w_flat, flat,
-                                       np.concatenate(deltas), wm)
-            else:
-                vals = w_flat.take(flat)
-                vals += np.concatenate(deltas)
-                np.minimum(vals, wm, out=vals)
-                np.maximum(vals, -wm, out=vals)
-                w_flat[flat] = vals
+            apply_learn(self._kern, self._w_flat, np.concatenate(flats),
+                        np.concatenate(deltas), wm)
         if punish_flats:
-            wrong_flat = np.concatenate(punish_flats)
-            w_flat = self._w_flat
-            if self._kern is not None:
-                self._kern.punish_apply(w_flat, wrong_flat, lr, wm)
-            else:
-                wvals = w_flat.take(wrong_flat)
-                wvals -= lr
-                np.maximum(wvals, -wm, out=wvals)
-                w_flat[wrong_flat] = wvals
+            apply_punish(self._kern, self._w_flat,
+                         np.concatenate(punish_flats), lr, wm)
 
     def _readout_lanes(self, lanes: list[int],
                        actives: list[np.ndarray]) -> np.ndarray:
@@ -416,7 +349,7 @@ class HebbianFleet:
         cols_list: list[np.ndarray] = []
         dense_rows: list[int] = []
         for i, (t, active) in enumerate(zip(lanes, actives)):
-            entry = self._readout_entry(active)
+            entry = self.prototype._readout_entry(active)
             if entry is None:
                 dense_rows.append(i)
                 continue
@@ -505,7 +438,8 @@ class HebbianFleet:
                 active = actives[row]
                 offset = t * self._block
                 flats.append(proto._out_flat[target] + offset)
-                deltas.append(self._delta_for(active, target, lr_scales[i]))
+                deltas.append(
+                    proto._column_delta(active, target, lr_scales[i]))
                 pred = predicted[row]
                 if punish and pred is not None and pred != target:
                     wrong = active[proto.mask_out[active, pred]]
@@ -513,33 +447,16 @@ class HebbianFleet:
                         punish_flats.append(wrong * vocab + pred + offset)
                         punish_lrs.append(config.lr * lr_scales[i])
             if flats:
-                flat = np.concatenate(flats)
-                w_flat = self._w_flat
-                if self._kern is not None:
-                    self._kern.learn_apply(w_flat, flat,
-                                           np.concatenate(deltas), wm)
-                else:
-                    vals = w_flat.take(flat)
-                    vals += np.concatenate(deltas)
-                    np.minimum(vals, wm, out=vals)
-                    np.maximum(vals, -wm, out=vals)
-                    w_flat[flat] = vals
-            if punish_flats:
-                w_flat = self._w_flat
-                # punish_apply takes one scalar lr; group by value so
-                # mixed per-lane lr_scales still fuse per group.
-                by_lr: dict[float, list[np.ndarray]] = {}
-                for arr, plr in zip(punish_flats, punish_lrs):
-                    by_lr.setdefault(plr, []).append(arr)
-                for plr, arrs in by_lr.items():
-                    wrong_flat = np.concatenate(arrs)
-                    if self._kern is not None:
-                        self._kern.punish_apply(w_flat, wrong_flat, plr, wm)
-                    else:
-                        wvals = w_flat.take(wrong_flat)
-                        wvals -= plr
-                        np.maximum(wvals, -wm, out=wvals)
-                        w_flat[wrong_flat] = wvals
+                apply_learn(self._kern, self._w_flat, np.concatenate(flats),
+                            np.concatenate(deltas), wm)
+            # punish_apply takes one scalar lr; group by value so mixed
+            # per-lane lr_scales still fuse per group.
+            by_lr: dict[float, list[np.ndarray]] = {}
+            for arr, plr in zip(punish_flats, punish_lrs):
+                by_lr.setdefault(plr, []).append(arr)
+            for plr, arrs in by_lr.items():
+                apply_punish(self._kern, self._w_flat, np.concatenate(arrs),
+                             plr, wm)
 
     # ------------------------------------------------------------------
     # Batched beam rollout (the predict_rollout mirror)
@@ -590,15 +507,6 @@ class HebbianFleet:
     # ------------------------------------------------------------------
     # Lane extraction
     # ------------------------------------------------------------------
-    def reset_state(self) -> None:
-        """Clear every lane's sequence context (weights are kept)."""
-        for t in range(self.n_lanes):
-            self._prev_class[t] = None
-            self._prev_active[t] = None
-            self._prev_pred[t] = None
-            self._last_active[t] = None
-            self._has_last[t] = False
-
     def lane_weights(self, lane: int) -> np.ndarray:
         """Lane ``lane``'s learned-weight block, as a read-only view.
 
@@ -621,14 +529,5 @@ class HebbianFleet:
         lane bit-identically.
         """
         net = self.prototype.clone()
-        has_last = self._has_last[lane]
-        net.restore_state(
-            w_out=self.w_out[lane].copy(),
-            prev_class=self._prev_class[lane],
-            prev_active=self._prev_active[lane],
-            prev_pred=self._prev_pred[lane],
-            last_active=self._last_active[lane],
-            last_scores=self._scores_rows[lane].copy() if has_last else None,
-            last_probs=self._probs_rows[lane].copy() if has_last else None,
-            train_steps=int(self.train_steps[lane]))
+        self._restore_into(net, lane)
         return net

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import evaluate_sequence_probs
+from .base import SequenceModel, evaluate_sequence_probs
 from .layers import SGD, glorot, softmax
 
 
@@ -284,14 +284,23 @@ class OnlineLSTM:
 
     def clone(self) -> "OnlineLSTM":
         twin = OnlineLSTM(self.config)
-        twin.net.params = {k: v.copy() for k, v in self.net.params.items()}
-        twin._h, twin._c = self._h.copy(), self._c.copy()
-        twin._prev_class = self._prev_class
-        twin._window = deque(self._window, maxlen=self.config.window)
-        if self._last_probs is not None:
-            twin._last_probs = self._last_probs.copy()
-        twin.train_steps = self.train_steps
+        twin.sync_from(self)
         return twin
+
+    def sync_from(self, source: SequenceModel) -> None:
+        """Become a copy of ``source`` in place: ``clone`` into this
+        model's own parameter arrays."""
+        if not (isinstance(source, OnlineLSTM)
+                and source.config == self.config):
+            raise ValueError("sync_from needs a model of the same config")
+        for key, values in source.net.params.items():
+            np.copyto(self.net.params[key], values)
+        self._h, self._c = source._h.copy(), source._c.copy()
+        self._prev_class = source._prev_class
+        self._window = deque(source._window, maxlen=self.config.window)
+        self._last_probs = (None if source._last_probs is None
+                            else source._last_probs.copy())
+        self.train_steps = source.train_steps
 
     def evaluate_sequence(self, classes: list[int]) -> float:
         probs = evaluate_sequence_probs(self, classes)

@@ -333,9 +333,9 @@ class TenantLane:
         """Hot-swap: promote the shadow to live (§5.5 redeploy).
 
         A shadow with non-finite weights is rejected and discarded — the
-        live copy keeps serving.  In stacked mode the swap is a lane
-        release/re-acquire around the redeploy; the weight copy in and
-        out of the fleet block is the measured "swap pause".
+        live copy keeps serving.  Past admission nothing is allocated:
+        the redeploy and the fleet slot copy only the weight columns the
+        shadow trained — the measured "swap pause".
         """
         manager = self.manager
         if not weights_finite(manager.shadow):
@@ -343,12 +343,12 @@ class TenantLane:
             self.swaps_rejected += 1
             return
         start = clock.now()
+        changed = manager.redeploy()
+        live = self.live_net()
+        live.reset_state()  # state re-warms within a few misses
         if fleet is not None:
-            fleet.release_lane(self.slot, self.live_net())
-        manager.redeploy()
-        manager.live.reset_state()  # state re-warms within a few misses
-        if fleet is not None:
-            self.slot = fleet.acquire_lane(self.live_net())
+            assert changed is not None
+            fleet.refresh_lane(self.slot, live, changed)
         self.swap_pauses.append(clock.now() - start)
         self.swaps += 1
         if self.config.record_checksums:

@@ -157,6 +157,22 @@ class TestCloneAndEval:
         tiny_hebbian.evaluate_sequence([1, 2, 3] * 4)
         np.testing.assert_array_equal(tiny_hebbian.w_out, w)
 
+    def test_fixed_clone_shares_input_projection(self, tiny_hebbian):
+        twin = tiny_hebbian.clone()
+        assert twin.w_in is tiny_hebbian.w_in
+        assert twin.w_out is not tiny_hebbian.w_out
+
+    def test_plastic_clone_input_update_does_not_leak(self):
+        net = SparseHebbianNetwork(HebbianConfig(
+            vocab_size=16, hidden_dim=200, plastic_hidden=True, seed=3))
+        twin = net.clone()
+        assert twin.w_in is not net.w_in
+        before = net.w_in.copy()
+        for _ in range(50):
+            twin.step(2)
+        assert twin.w_in.sum() > before.sum()
+        np.testing.assert_array_equal(net.w_in, before)
+
 
 @settings(max_examples=20, deadline=None)
 @given(class_id=st.integers(0, 15), ctx_class=st.integers(0, 15))
