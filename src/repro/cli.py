@@ -229,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_run.add_argument("--max-staleness", type=int, default=256)
     serve_run.add_argument("--ring-capacity", type=int, default=1024)
     serve_run.add_argument("--max-batch", type=int, default=64)
-    serve_run.add_argument("--scalar", action="store_true",
-                           help="per-lane stepping instead of the "
-                                "stacked HebbianFleet path")
     serve_run.add_argument("--threaded", action="store_true",
                            help="drive the actors on real threads "
                                 "(default: deterministic lockstep)")
@@ -602,7 +599,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             vocab_size=args.vocab, prefetch_length=args.length,
             prefetch_width=args.width, max_staleness=args.max_staleness,
             ring_capacity=args.ring_capacity, max_batch=args.max_batch,
-            stacked=not args.scalar, seed=args.seed)
+            seed=args.seed)
         service = PrefetchService(config)
         patterns = args.pattern or list(PATTERN_NAMES)
         events = _serve_events(args.tenants, patterns, args.n,

@@ -49,12 +49,17 @@ class ShadowModelManager:
     _staleness: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.ema_alpha <= 1:
-            raise ValueError("ema_alpha must be in (0, 1]")
-        if self.max_staleness < 1:
-            raise ValueError("max_staleness must be >= 1")
+        self.check_schedule(self.ema_alpha, self.max_staleness)
         self.live = self.model
         self.shadow = self.model.clone()
+
+    @staticmethod
+    def check_schedule(ema_alpha: float, max_staleness: int) -> None:
+        """Raise ValueError unless the redeploy schedule is valid."""
+        if not 0 < ema_alpha <= 1:
+            raise ValueError("ema_alpha must be in (0, 1]")
+        if max_staleness < 1:
+            raise ValueError("max_staleness must be >= 1")
 
     def observe(self, input_class: int, target_class: int,
                 lr_scale: float = 1.0) -> float:

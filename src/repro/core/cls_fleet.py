@@ -8,27 +8,27 @@ round, every stalled lane's miss flows through **one** stacked
 step/replay/rollout call per group instead of L scalar
 ``on_miss_fast`` calls.
 
-Bit-identity contract — each statement below names its scalar
-counterpart in :meth:`CLSPrefetcher.on_miss_fast` → ``_ingest`` →
-``_predict``, and the phases preserve every within-lane ordering
-(cross-lane order is free: lanes share no mutable state, and the
-prototype's memo caches are pure memoization over fixed structures):
+Bit-identity contract — the per-lane work is :class:`CLSPrefetcher`'s
+own miss stages, called in :meth:`CLSPrefetcher.on_miss_fast`'s order;
+only the model calls are stacked.  The phases preserve every within-lane
+ordering (cross-lane order is free: lanes share no mutable state, and
+the prototype's memo caches are pure memoization over fixed structures):
 
-* **Phase A (observe, per lane)** — miss counter, encoder observe,
-  phase detection, confidence/EMA update against the *previous* probs,
-  training-policy decision, episode record, recall store: everything in
-  ``_ingest`` before the inlined ``model.step`` hot branch.
+* **Phase A (observe, per lane)** — the miss counter, then
+  ``CLSPrefetcher._observe``: encode, phase, score and accuracy EMA,
+  train decision, episode record, recall store.
 * **Phase B (stacked step)** — one ``HebbianFleet.step_lanes`` call
-  replaces each lane's ``self._last_probs = self.model.step(...)``.
-* **Phase C (stacked replay)** — the trained-lane bookkeeping, with
-  ``ReplayScheduler.select_pairs`` drawing each lane's episodes (same
-  RNG stream, same counters as ``scheduler.step``) and one
-  ``train_pairs_lanes`` call applying them.
-* **Phase D (advance, per lane)** — history push and ``_prev_class``,
-  the ``_ingest`` tail.
-* **Phase E (stacked predict)** — the ``_predict`` accuracy gate per
-  lane, one ``rollout_lanes`` call for the survivors, then each lane's
-  ``_decode_rollout`` (the literal scalar decode tail).
+  replaces the model step of ``CLSPrefetcher._learn_and_advance``
+  (rollout mode, no availability manager).
+* **Phase C (stacked replay)** — the rest of ``_learn_and_advance``:
+  the trained-step count, with ``ReplayScheduler.select_pairs`` drawing
+  each lane's episodes (same RNG stream, same counters as
+  ``scheduler.step``) and one ``train_pairs_lanes`` call applying them.
+* **Phase D (commit, per lane)** — the stepped probs, then
+  ``CLSPrefetcher._commit`` (history push, previous class).
+* **Phase E (stacked predict)** — ``CLSPrefetcher._gated`` per lane, one
+  ``rollout_lanes`` call for the survivors, then each lane's
+  ``CLSPrefetcher._decode_rollout``.
 
 Eligibility is decided by :meth:`CLSPrefetcher.fleet_steppable` and
 grouping by :meth:`CLSPrefetcher.fleet_group_key`; ineligible lanes
@@ -37,14 +37,9 @@ keep the scalar per-miss path in the cohort.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..nn.hebbian import SparseHebbianNetwork
 from ..nn.hebbian_fleet import HebbianFleet
 from .cls_prefetcher import CLSPrefetcher
-from .hippocampus import Episode
-from .history import MissRecord
-from .recall import HippocampalRecall
 
 __all__ = ["CLSFleetGroup"]
 
@@ -95,60 +90,21 @@ class CLSFleetGroup:
         n = len(slots)
         results: list[list[int]] = [[] for _ in range(n)]
         fleet = self._fleet
+        members = self._members
 
-        # Phase A — everything in _ingest before the model step.
+        # Phase A — CLSPrefetcher._observe per lane.
         live: list[int] = []
         lanes: list[int] = []
         classes: list[int] = []
         trains: list[bool] = []
         phases: list[int] = []
         for row in range(n):
-            p = self._members[slots[row]]
-            address = addresses[row]
+            p = members[slots[row]]
             p.stats.misses_seen += 1
-            class_id = p._encoder_observe(address)
-            if class_id is None:
+            staged = p._observe(addresses[row], timestamps[row])
+            if staged is None:
                 continue  # scalar: _ingest returns None -> []
-            phase = -1
-            detector = p.phase_detector
-            if p._hinted_phase is not None:
-                phase = p._hinted_phase
-            elif detector is not None:
-                phase = detector.observe(
-                    (address >> p._region_shift) % p._PHASE_FEATURE_BINS)
-                p.stats.phases_seen = detector.n_phases
-            scored_probs = p._last_probs
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
-            transition = (None if p._prev_class is None
-                          else (p._prev_class, class_id))
-            if scored_probs is not None:
-                ema_top = p._ema_top
-                if ema_top is not None and ema_top[0] is scored_probs:
-                    covered = class_id in ema_top[1]
-                else:
-                    top = np.argpartition(scored_probs,
-                                          -p._width)[-p._width:]
-                    covered = class_id in top
-                alpha = p._alpha
-                p.accuracy_ema = ((1 - alpha) * p.accuracy_ema
-                                  + alpha * float(covered))
-            train = (transition is not None
-                     and p._should_train(confidence))
-            if transition is not None and p.scheduler is not None:
-                p.scheduler.record(Episode(
-                    input_class=transition[0],
-                    target_class=transition[1],
-                    phase_id=phase,
-                    confidence=confidence,
-                    timestamp=timestamps[row],
-                ))
-            if p.recall_memory is not None and transition is not None:
-                if (p.recall_memory.occupancy()
-                        > p.config.recall_occupancy_reset):
-                    p.recall_memory = HippocampalRecall(
-                        p.recall_memory.config)
-                p.recall_memory.store(*transition)
+            class_id, train, phase, _ = staged
             live.append(row)
             lanes.append(slots[row])
             classes.append(class_id)
@@ -159,8 +115,6 @@ class CLSFleetGroup:
 
         # Phase B — the stacked model step.
         probs = fleet.step_lanes(lanes, classes, trains)
-        for i, row in enumerate(live):
-            self._members[slots[row]]._last_probs = probs[i]
 
         # Phase C — trained-step bookkeeping and stacked replay.
         replay_lanes: list[int] = []
@@ -169,7 +123,7 @@ class CLSFleetGroup:
         for i, row in enumerate(live):
             if not trains[i]:
                 continue
-            p = self._members[slots[row]]
+            p = members[slots[row]]
             p.stats.trained_steps += 1
             scheduler = p.scheduler
             if scheduler is None:
@@ -185,24 +139,21 @@ class CLSFleetGroup:
             fleet.train_pairs_lanes(replay_lanes, replay_pairs,
                                     replay_scales)
 
-        # Phase D — the _ingest tail.
+        # Phase D — CLSPrefetcher._commit per lane.
         for i, row in enumerate(live):
-            p = self._members[slots[row]]
-            p._history_push(MissRecord(classes[i], addresses[row],
-                                       timestamps[row]))
-            p._prev_class = classes[i]
+            p = members[slots[row]]
+            p._last_probs = probs[i]
+            p._commit(classes[i], addresses[row], timestamps[row])
 
-        # Phase E — the accuracy gate, one stacked rollout, and the
-        # scalar decode tail per surviving lane.
+        # Phase E — the accuracy gate, one stacked rollout, and
+        # CLSPrefetcher._decode_rollout per surviving lane.
         roll_rows: list[int] = []
         roll_lanes: list[int] = []
         widths: list[int] = []
         lengths: list[int] = []
         for i, row in enumerate(live):
-            p = self._members[slots[row]]
-            if (p._min_accuracy > 0
-                    and p.accuracy_ema < p._min_accuracy):
-                p.stats.suppressed_low_confidence += 1
+            p = members[slots[row]]
+            if p._gated():
                 continue
             roll_rows.append(row)
             roll_lanes.append(lanes[i])
@@ -211,7 +162,7 @@ class CLSFleetGroup:
         if roll_rows:
             rollouts = fleet.rollout_lanes(roll_lanes, widths, lengths)
             for row, rollout in zip(roll_rows, rollouts):
-                p = self._members[slots[row]]
+                p = members[slots[row]]
                 results[row] = p._decode_rollout(addresses[row],
                                                  pages[row], rollout)
         return results

@@ -17,12 +17,22 @@ On every demand miss the prefetcher encodes the miss, optionally trains on
 the newest transition (plus replayed old ones), advances the model's
 recurrent state, and decodes a ``length x width`` rollout of predicted
 classes back into page prefetches.
+
+The miss path is written once, as stages the fleet group
+(``core/cls_fleet.py``) calls per lane around its stacked model calls:
+``_observe`` (encode, phase, score and accuracy EMA, train decision,
+episode and recall), ``_learn_and_advance`` (train, replay, model step),
+``_commit`` (history and previous class), the ``_gated`` accuracy gate
+and ``_decode_rollout`` (recall consult, then :func:`decode_pages`).
+The serve daemon (``serve/service.py``) shares :func:`score_observation`
+and :func:`decode_pages`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -38,6 +48,10 @@ from .phase_detect import OnlinePhaseDetector
 from .recall import HippocampalRecall, RecallConfig, RecallStats
 from .replay import ReplayScheduler, make_replay_policy
 from .sampling import BatchAccumulate, make_training_policy
+
+#: A beam rollout, as ``predict_rollout`` returns it: per step, the
+#: ``(class, probability)`` candidates, top-1 first.
+Rollout = list[list[tuple[int, float]]]
 
 
 @dataclass
@@ -187,6 +201,65 @@ class CLSPrefetcherStats:
     phases_seen: int = 0
 
 
+def score_observation(probs: np.ndarray | None, class_id: int, width: int,
+                      accuracy_ema: float, alpha: float,
+                      ema_top: tuple[np.ndarray, list[int]] | None = None
+                      ) -> tuple[float, float]:
+    """Score an observed class against the prediction made before it.
+
+    Returns the probability ``probs`` gave ``class_id`` (the training
+    policy's confidence; 0.0 when there is no prediction yet) and the
+    accuracy EMA after counting whether ``class_id`` was among the
+    top-``width`` candidates.  ``ema_top`` is a ``(probs, top classes)``
+    pair memoized by a rollout that already partitioned ``probs``.
+    """
+    if probs is None:
+        return 0.0, accuracy_ema
+    if ema_top is not None and ema_top[0] is probs:
+        covered = class_id in ema_top[1]
+    else:
+        covered = class_id in np.argpartition(probs, -width)[-width:]
+    return (probs.item(class_id),
+            (1 - alpha) * accuracy_ema + alpha * float(covered))
+
+
+def decode_pages(rollout: Rollout, base: int, miss_page: int,
+                 decode: Callable[[int, int], int | None], page_shift: int,
+                 min_confidence: float, pages: list[int]) -> int:
+    """Decode a beam rollout into prefetch pages, appended to ``pages``.
+
+    Candidates below ``min_confidence`` are suppressed; the OOV class, an
+    undecodable class, the miss page and pages already in ``pages`` are
+    skipped.  Step ``k + 1`` decodes relative to step ``k``'s top-1
+    address, and the chain ends at a top-1 that does not decode.  Returns
+    the number of suppressed candidates.
+    """
+    seen = set(pages)
+    suppressed = 0
+    top_class: int | None = None
+    for candidates in rollout:
+        if top_class is not None:
+            next_base = decode(top_class, base)
+            if next_base is None:
+                break
+            base = next_base
+        for candidate_class, probability in candidates:
+            if probability < min_confidence:
+                suppressed += 1
+                continue
+            if candidate_class == OOV_CLASS:
+                continue
+            address = decode(candidate_class, base)
+            if address is None:
+                continue
+            page = address >> page_shift
+            if page != miss_page and page not in seen:
+                seen.add(page)
+                pages.append(page)
+        top_class = candidates[0][0]
+    return suppressed
+
+
 class CLSPrefetcher:
     """Online CLS prefetcher (implements the memsim ``Prefetcher`` protocol)."""
 
@@ -319,12 +392,13 @@ class CLSPrefetcher:
     def fleet_steppable(self) -> bool:
         """True when the fleet engine may batch this prefetcher's misses.
 
-        The stacked path (``core/cls_fleet.py``) mirrors exactly the
-        inlined rollout-mode hot branch of ``_ingest``: a Hebbian model
-        with fixed hidden projections and a float serving path, no
-        availability manager, no batch-accumulate training policy, and
-        a replay scheduler (if any) whose ``step`` reduces to
-        ``train_pairs`` (non-generative, no ``on_replayed`` hook).
+        The stacked path (``core/cls_fleet.py``) runs this prefetcher's
+        own stages with the rollout-mode, no-manager model step of
+        ``_learn_and_advance`` stacked: a Hebbian model with fixed
+        hidden projections and a float serving path, no availability
+        manager, no batch-accumulate training policy, and a replay
+        scheduler (if any) whose ``step`` reduces to ``train_pairs``
+        (non-generative, no ``on_replayed`` hook).
         Everything else keeps the scalar per-miss path.
         """
         model = self.model
@@ -387,6 +461,23 @@ class CLSPrefetcher:
 
     def _ingest(self, address: int, timestamp: int) -> int | None:
         """Encode one observation and run the learning pipeline on it."""
+        staged = self._observe(address, timestamp)
+        if staged is None:
+            return None
+        class_id, train, phase, transition = staged
+        self._learn_and_advance(class_id, train, phase, transition)
+        self._commit(class_id, address, timestamp)
+        return class_id
+
+    def _observe(self, address: int, timestamp: int
+                 ) -> tuple[int, bool, int, tuple[int, int] | None] | None:
+        """Pre-step stage: encode, phase, score plus accuracy EMA, train
+        decision, episode record and recall store.
+
+        Returns ``(class_id, train, phase, transition)`` for
+        :meth:`_learn_and_advance`, or None when the encoder emits no
+        class.  The model's recurrent state does not move here.
+        """
         class_id = self._encoder_observe(address)
         if class_id is None:
             return None
@@ -402,31 +493,16 @@ class CLSPrefetcher:
 
         if self._direct:
             # Score against the prediction made prefetch_length steps ago.
-            full = len(self._probs_history) == self._length
-            scored_probs = self._probs_history[0] if full else None
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
+            history = self._probs_history
+            scored_probs = history[0] if len(history) == self._length else None
             transition = self._direct_pair(class_id)
         else:
             scored_probs = self._last_probs
-            confidence = (scored_probs.item(class_id)
-                          if scored_probs is not None else 0.0)
             transition = (None if self._prev_class is None
                           else (self._prev_class, class_id))
-
-        if scored_probs is not None:
-            ema_top = self._ema_top
-            if ema_top is not None and ema_top[0] is scored_probs:
-                # The rollout already partitioned this exact vector; the
-                # top-width membership is the same set.
-                covered = class_id in ema_top[1]
-            else:
-                width = self._width
-                top = np.argpartition(scored_probs, -width)[-width:]
-                covered = class_id in top
-            alpha = self._alpha
-            self.accuracy_ema = ((1 - alpha) * self.accuracy_ema
-                                 + alpha * float(covered))
+        confidence, self.accuracy_ema = score_observation(
+            scored_probs, class_id, self._width, self.accuracy_ema,
+            self._alpha, self._ema_top)
         train = (transition is not None
                  and self._should_train(confidence))
 
@@ -460,23 +536,13 @@ class CLSPrefetcher:
                 recall_cfg = self.recall_memory.config
                 self.recall_memory = HippocampalRecall(recall_cfg)
             self.recall_memory.store(*transition)
+        return class_id, train, phase, transition
 
-        if self.manager is None and not self._direct:
-            # Inlined hot branch of ``_learn_and_advance`` (rollout mode,
-            # no availability manager) — same statements, one frame less.
-            self._last_probs = self.model.step(class_id, train=train)
-            if train:
-                self.stats.trained_steps += 1
-                if self.scheduler is not None:
-                    self.stats.replayed_pairs += self.scheduler.step(
-                        self.model, phase if phase >= 0 else None)
-        else:
-            self._learn_and_advance(class_id, train, phase, transition)
-            if self._direct and self._last_probs is not None:
-                self._probs_history.append(self._last_probs)
+    def _commit(self, class_id: int, address: int, timestamp: int) -> None:
+        """Commit tail: push the miss record, make ``class_id`` the
+        previous class."""
         self._history_push(MissRecord(class_id, address, timestamp))
         self._prev_class = class_id
-        return class_id
 
     def _direct_pair(self, class_id: int) -> tuple[int, int] | None:
         """The lag-L training pair (class at t-L, class at t), if the miss
@@ -491,47 +557,57 @@ class CLSPrefetcher:
     # ------------------------------------------------------------------
     def _learn_and_advance(self, class_id: int, train: bool, phase: int,
                            transition: tuple[int, int] | None) -> None:
+        """Learn stage: train on the newest transition (plus interleaved
+        replay) and step the serving model, whose next-class
+        probabilities land in ``_last_probs``."""
         # phase -1 means "no phase information": replay everything rather
         # than excluding the (only) phase, which would disable replay.
         exclude = phase if phase >= 0 else None
-
-        if self.manager is None:
-            if self._direct:
-                if train and transition is not None:
-                    self.model.train_pair(*transition)
-                    self.stats.trained_steps += 1
-                    if self.scheduler is not None:
-                        self.stats.replayed_pairs += self.scheduler.step(
-                            self.model, current_phase=exclude)
-                self._last_probs = self.model.step(class_id, train=False)
-            else:
-                self._last_probs = self.model.step(class_id, train=train)
+        manager = self.manager
+        if manager is None:
+            model = self.model
+            if not self._direct:
+                self._last_probs = model.step(class_id, train=train)
                 if train:
-                    self.stats.trained_steps += 1
-                    if self.scheduler is not None:
-                        self.stats.replayed_pairs += self.scheduler.step(
-                            self.model, current_phase=exclude)
-            return
+                    self._replay_after(model, exclude)
+                return
+            if train and transition is not None:
+                model.train_pair(*transition)
+                self._replay_after(model, exclude)
+            self._last_probs = model.step(class_id, train=False)
+        else:
+            # Availability protocol (§5.5): shadow trains, live serves.
+            if train and transition is not None:
+                manager.train_shadow(*transition)
+                self._replay_after(manager.shadow, exclude)
+            if self._last_probs is not None:
+                manager.note_confidence(float(self._last_probs[class_id]))
+            if manager.should_redeploy():
+                manager.redeploy()
+                manager.live.reset_state()  # state re-warms within a few misses
+                self.stats.redeploys = manager.redeploys
+            self._last_probs = manager.live.step(class_id, train=False)
+        if self._direct:
+            self._probs_history.append(self._last_probs)
 
-        # Availability protocol (§5.5): shadow trains, live serves.
-        if train and transition is not None:
-            self.manager.train_shadow(*transition)
-            self.stats.trained_steps += 1
-            if self.scheduler is not None:
-                self.stats.replayed_pairs += self.scheduler.step(
-                    self.manager.shadow, current_phase=exclude)
-        if self._last_probs is not None:
-            self.manager.note_confidence(float(self._last_probs[class_id]))
-        if self.manager.should_redeploy():
-            self.manager.redeploy()
-            self.manager.live.reset_state()  # state re-warms within a few misses
-            self.stats.redeploys = self.manager.redeploys
-        self._last_probs = self.manager.live.step(class_id, train=False)
+    def _replay_after(self, trainer: SequenceModel,
+                      exclude: int | None) -> None:
+        """Count one trained step and run its interleaved replay round."""
+        self.stats.trained_steps += 1
+        if self.scheduler is not None:
+            self.stats.replayed_pairs += self.scheduler.step(
+                trainer, current_phase=exclude)
+
+    def _gated(self) -> bool:
+        """The min-accuracy gate: True, counted as a suppression, while
+        the self-monitored accuracy is below ``min_accuracy``."""
+        if self._min_accuracy > 0 and self.accuracy_ema < self._min_accuracy:
+            self.stats.suppressed_low_confidence += 1
+            return True
+        return False
 
     def _predict(self, miss_address: int, miss_page: int) -> list[int]:
-        if (self._min_accuracy > 0
-                and self.accuracy_ema < self._min_accuracy):
-            self.stats.suppressed_low_confidence += 1
+        if self._gated():
             return []
         if self._direct:
             return self._predict_direct(miss_address, miss_page)
@@ -542,22 +618,15 @@ class CLSPrefetcher:
         return self._decode_rollout(miss_address, miss_page, rollout)
 
     def _decode_rollout(self, miss_address: int, miss_page: int,
-                        rollout: list[list[tuple[int, float]]]) -> list[int]:
-        """Decode a beam rollout into page prefetches (the ``_predict``
-        tail).  Split out so the fleet miss path — which computes the
-        rollout batched across lanes — shares the recall consult, the
-        decode loop, and every counter with the scalar path verbatim."""
+                        rollout: Rollout) -> list[int]:
+        """Decode stage: the recall consult, then :func:`decode_pages`.
+        The fleet miss path, which rolls out batched across lanes, calls
+        this per lane."""
         if rollout and self._ema_memo_ok and self._last_probs is not None:
             # Memoize the first step's top-width classes for the next
             # miss's accuracy-EMA update (same probs vector, same set).
             self._ema_top = (self._last_probs, [c for c, _ in rollout[0]])
         pages: list[int] = []
-        seen: set[int] = set()
-        base = miss_address
-        stats = self.stats
-        decode = self._encoder_decode
-        page_shift = self._page_shift
-        min_confidence = self._min_confidence
 
         # Figure 4's recall path: when the neocortex is not yet confident,
         # ask the one-shot hippocampal memory first.
@@ -570,32 +639,20 @@ class CLSPrefetcher:
                 self.recall_stats.answered += 1
                 if rollout and recalled != rollout[0][0][0]:
                     self.recall_stats.overrode_neocortex += 1
-                address = decode(recalled, base)
+                address = self._encoder_decode(recalled, miss_address)
                 if address is not None:
-                    page = address >> page_shift
+                    page = address >> self._page_shift
                     if page != miss_page:
-                        seen.add(page)
                         pages.append(page)
-        for candidates in rollout:
-            for candidate_class, probability in candidates:
-                if probability < min_confidence:
-                    stats.suppressed_low_confidence += 1
-                    continue
-                if candidate_class == OOV_CLASS:
-                    continue
-                address = decode(candidate_class, base)
-                if address is None:
-                    continue
-                page = address >> page_shift
-                if page != miss_page and page not in seen:
-                    seen.add(page)
-                    pages.append(page)
-            # The rollout path follows the top-1 prediction at each step.
-            top_class = candidates[0][0]
-            next_base = decode(top_class, base)
-            if next_base is None:
-                break
-            base = next_base
+        return self._emit(rollout, miss_address, miss_page, pages)
+
+    def _emit(self, rollout: Rollout, miss_address: int, miss_page: int,
+              pages: list[int]) -> list[int]:
+        """:func:`decode_pages` onto ``pages``, with the counters."""
+        stats = self.stats
+        stats.suppressed_low_confidence += decode_pages(
+            rollout, miss_address, miss_page, self._encoder_decode,
+            self._page_shift, self._min_confidence, pages)
         stats.prefetches_emitted += len(pages)
         return pages
 
@@ -623,26 +680,9 @@ class CLSPrefetcher:
                 order = np.argsort(probs)[::-1][:width]
         else:
             order = np.argsort(probs)[::-1][:width]
-        pages: list[int] = []
-        seen: set[int] = set()
-        decode = self._encoder_decode
-        min_confidence = self._min_confidence
-        for candidate_class in order:
-            probability = float(probs[candidate_class])
-            if probability < min_confidence:
-                self.stats.suppressed_low_confidence += 1
-                continue
-            if candidate_class == OOV_CLASS:
-                continue
-            address = decode(int(candidate_class), miss_address)
-            if address is None:
-                continue
-            page = address >> self._page_shift
-            if page != miss_page and page not in seen:
-                seen.add(page)
-                pages.append(page)
-        self.stats.prefetches_emitted += len(pages)
-        return pages
+        # A one-step rollout: the candidates are the top-w classes.
+        step = [(int(c), float(probs[c])) for c in order]
+        return self._emit([step], miss_address, miss_page, [])
 
     # ------------------------------------------------------------------
     def hint_phase(self, phase_id: int | None) -> None:
@@ -665,3 +705,5 @@ class CLSPrefetcher:
         self.history.clear()
         self._prev_class = None
         self._last_probs = None
+        self._probs_history.clear()
+        self._ema_top = None

@@ -161,10 +161,6 @@ class PageVocabEncoder:
         """Forget the previous unit but keep the learned vocabulary."""
         self._prev_unit = None
 
-    @property
-    def known_units(self) -> int:
-        return len(self._unit_to_class)
-
 
 @dataclass
 class RegionDeltaEncoder:

@@ -91,10 +91,6 @@ class CacheStats:
     writebacks: int = 0
 
     @property
-    def prefetches_useful(self) -> int:
-        return self.prefetch_hits
-
-    @property
     def miss_rate(self) -> float:
         return self.demand_misses / self.accesses if self.accesses else 0.0
 

@@ -10,18 +10,22 @@ stream.  Two actors drive it:
   every staged lane's *live* model in one stacked
   :class:`~repro.nn.hebbian_fleet.HebbianFleet` call, performs hot-swaps
   (redeploy on confidence drop or staleness), and answers query batches
-  from batched fleet rollouts.  The serve actor is the only mutator of
-  live models, so the answer path takes no lock and can never block
-  behind a training step.
+  from batched fleet rollouts.  Every live model is stepped and rolled
+  out through the fleet; there is no per-lane scalar mode.  The serve
+  actor is the only mutator of live models, so the answer path takes no
+  lock and can never block behind a training step.
 - **trainer** — consumes queued transitions and trains each lane's
   *shadow* copy (plus interleaved replay) under that lane's lock; the
   lock is shared only with the swap decision, never with answering.
 
 The per-event pipeline is split into a *stage* sub-step (encode, score,
-accuracy EMA — the offline ``_ingest`` prefix) and a *finish* sub-step
-(confidence EMA, redeploy check, live-model step — the ``_ingest``
-suffix), with training queued between them.  Under the lockstep schedule
-``stage → drain trainer → finish → answer`` (see
+accuracy EMA — the offline ``_observe`` stage, scoring through the shared
+:func:`~repro.core.cls_prefetcher.score_observation`) and a *finish*
+sub-step (confidence EMA, redeploy check, live-model step — the offline
+``_learn_and_advance`` suffix), with training queued between them.
+Answers decode through the shared
+:func:`~repro.core.cls_prefetcher.decode_pages`.  Under the lockstep
+schedule ``stage → drain trainer → finish → answer`` (see
 :func:`replay_lockstep`) the daemon performs the offline pipeline's
 operations in the identical order, which is why the differential suite
 can assert bit-identity against ``simulate()`` — predictions, learned
@@ -38,14 +42,15 @@ import os
 import tempfile
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.availability import ShadowModelManager, weights_finite
-from ..core.encoding import OOV_CLASS, Encoder, make_encoder
+from ..core.cls_prefetcher import Rollout, decode_pages, score_observation
+from ..core.encoding import Encoder, make_encoder
 from ..core.hippocampus import Episode
 from ..core.replay import ReplayScheduler, make_replay_policy
 from ..core.sampling import make_training_policy
@@ -62,9 +67,6 @@ from .ring import EventRing
 
 import threading
 
-#: A beam rollout, as ``predict_rollout`` returns it.
-Rollout = list[list[tuple[int, float]]]
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -72,9 +74,13 @@ class ServeConfig:
 
     The model/encoder/prediction fields deliberately mirror
     :class:`~repro.core.cls_prefetcher.CLSPrefetcherConfig` (rollout
-    mode, no phase detection): the differential suite holds the daemon
-    bit-identical to the offline prefetcher, so the serve path cannot
-    fork semantics.
+    mode, no phase detection, availability on): the differential suite
+    holds the daemon bit-identical to the offline prefetcher, so the
+    serve path cannot fork semantics.  Every field is checked at
+    construction, through the same factories and
+    :class:`~repro.core.availability.ShadowModelManager` checks the
+    service builds its lanes with, so a bad value fails here rather than
+    inside the serve actor.
 
     Attributes:
         vocab_size: Miss-class vocabulary shared by encoder and model.
@@ -97,9 +103,6 @@ class ServeConfig:
         ring_capacity: Ingest ring bound (drop-oldest beyond it).
         train_queue_capacity: Pending-training bound (drop-oldest).
         max_batch: Events staged / queries answered per round.
-        stacked: Step and roll out live lanes through one
-            :class:`HebbianFleet` (multi-tenant batching); False keeps
-            the scalar per-lane path.
         record_checksums: Checksum the serving weights at every swap and
             every answer — the torn-swap assertion's evidence trail.
         seed: Root seed; model construction and per-tenant replay
@@ -125,7 +128,6 @@ class ServeConfig:
     ring_capacity: int = 1024
     train_queue_capacity: int = 4096
     max_batch: int = 64
-    stacked: bool = True
     record_checksums: bool = False
     seed: int = 0
 
@@ -148,6 +150,11 @@ class ServeConfig:
         if min(self.ring_capacity, self.train_queue_capacity,
                self.max_batch) < 1:
             raise ValueError("capacities and max_batch must be >= 1")
+        make_encoder(self.encoder, self.vocab_size, self.granularity)
+        make_training_policy(self.training)
+        if self.replay_policy is not None:
+            make_replay_policy(self.replay_policy)
+        ShadowModelManager.check_schedule(self.ema_alpha, self.max_staleness)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +210,7 @@ class TenantLane:
         self.encoder = encoder
         self.replay = replay
         self.lock = threading.Lock()
-        self.slot = -1          # fleet slot; -1 in scalar mode
+        self.slot = -1          # fleet slot; -1 until adopted
         self.prev_class: int | None = None
         self.last_probs: np.ndarray | None = None
         self.last_address = 0
@@ -220,15 +227,15 @@ class TenantLane:
         self.checksum_history: list[str] = []
         self._page_shift = config.page_size.bit_length() - 1
         self._width = config.prefetch_width
-        self._length = config.prefetch_length
         self._alpha = config.accuracy_ema_alpha
         self._should_train = make_training_policy(config.training).should_train
 
     # -- serve actor: the two-sub-step event pipeline ---------------------
     def observe(self, address: int, timestamp: int) -> _Staged | None:
-        """Stage sub-step: the offline ``_ingest`` prefix (encode, score
-        the last probs, accuracy EMA, train decision).  No model state
-        moves here — that happens in :meth:`post_advance`."""
+        """Stage sub-step: the offline ``_observe`` stage without phase,
+        episode or recall (encode, score the last probs, accuracy EMA,
+        train decision).  No model state moves here — that happens in
+        :meth:`post_advance`."""
         self.misses_seen += 1
         self.last_address = address
         self.last_page = address >> self._page_shift
@@ -236,19 +243,15 @@ class TenantLane:
         if class_id is None:
             return None
         probs = self.last_probs
-        confidence = float(probs.item(class_id)) if probs is not None else 0.0
+        confidence, self.accuracy_ema = score_observation(
+            probs, class_id, self._width, self.accuracy_ema, self._alpha)
         transition = (None if self.prev_class is None
                       else (self.prev_class, class_id))
-        if probs is not None:
-            top = np.argpartition(probs, -self._width)[-self._width:]
-            alpha = self._alpha
-            self.accuracy_ema = ((1 - alpha) * self.accuracy_ema
-                                 + alpha * float(class_id in top))
         train = transition is not None and self._should_train(confidence)
         return _Staged(class_id, confidence, probs is not None,
                        transition, train, timestamp)
 
-    def pre_advance(self, staged: _Staged, fleet: HebbianFleet | None,
+    def pre_advance(self, staged: _Staged, fleet: HebbianFleet,
                     clock: Clock) -> None:
         """Finish sub-step, part 1: confidence EMA and the swap decision
         (the offline ``_learn_and_advance`` suffix before the live step).
@@ -262,15 +265,9 @@ class TenantLane:
 
     def post_advance(self, probs: np.ndarray, staged: _Staged) -> None:
         """Finish sub-step, part 2: adopt the live model's new probs row
-        (the caller stepped the model — stacked via the fleet, or scalar
-        via ``live.step``)."""
+        (the caller stepped the model through the fleet)."""
         self.last_probs = probs
         self.prev_class = staged.class_id
-
-    def step_scalar(self, staged: _Staged) -> np.ndarray:
-        """Scalar-mode live step (the fleet-less mirror of
-        ``step_lanes``)."""
-        return self.live_net().step(staged.class_id, train=False)
 
     # -- serve actor: answering ------------------------------------------
     def would_gate(self) -> bool:
@@ -280,42 +277,17 @@ class TenantLane:
         return (config.min_accuracy > 0
                 and self.accuracy_ema < config.min_accuracy)
 
-    def live_rollout(self) -> Rollout:
-        """Scalar-mode beam rollout from the live model."""
-        return self.live_net().predict_rollout(self._width, self._length)
-
     def answer(self, rollout: Rollout | None) -> list[int]:
-        """Decode a rollout into prefetch pages — the offline
-        ``_decode_rollout`` loop verbatim (suppression, OOV skip, dedupe,
-        top-1 base chaining).  ``None`` means the lane was gated."""
+        """Decode a rollout into prefetch pages through the offline
+        :func:`~repro.core.cls_prefetcher.decode_pages`.  ``None`` means
+        the lane was gated."""
         if rollout is None:
             self.suppressed += 1
             return []
         pages: list[int] = []
-        seen: set[int] = set()
-        base = self.last_address
-        miss_page = self.last_page
-        decode = self.encoder.decode
-        page_shift = self._page_shift
-        min_confidence = self.config.min_confidence
-        for candidates in rollout:
-            for candidate_class, probability in candidates:
-                if probability < min_confidence:
-                    self.suppressed += 1
-                    continue
-                if candidate_class == OOV_CLASS:
-                    continue
-                address = decode(candidate_class, base)
-                if address is None:
-                    continue
-                page = address >> page_shift
-                if page != miss_page and page not in seen:
-                    seen.add(page)
-                    pages.append(page)
-            next_base = decode(candidates[0][0], base)
-            if next_base is None:
-                break
-            base = next_base
+        self.suppressed += decode_pages(
+            rollout, self.last_address, self.last_page, self.encoder.decode,
+            self._page_shift, self.config.min_confidence, pages)
         self.prefetches_emitted += len(pages)
         return pages
 
@@ -324,12 +296,12 @@ class TenantLane:
         """Hand the live model's stepping to a fleet slot."""
         self.slot = fleet.acquire_lane(self.live_net())
 
-    def force_swap(self, fleet: HebbianFleet | None, clock: Clock) -> None:
+    def force_swap(self, fleet: HebbianFleet, clock: Clock) -> None:
         """Fault hook: redeploy right now, regardless of the EMA."""
         with self.lock:
             self._swap_locked(fleet, clock)
 
-    def _swap_locked(self, fleet: HebbianFleet | None, clock: Clock) -> None:
+    def _swap_locked(self, fleet: HebbianFleet, clock: Clock) -> None:
         """Hot-swap: promote the shadow to live (§5.5 redeploy).
 
         A shadow with non-finite weights is rejected and discarded — the
@@ -346,20 +318,16 @@ class TenantLane:
         changed = manager.redeploy()
         live = self.live_net()
         live.reset_state()  # state re-warms within a few misses
-        if fleet is not None:
-            assert changed is not None
-            fleet.refresh_lane(self.slot, live, changed)
+        assert changed is not None
+        fleet.refresh_lane(self.slot, live, changed)
         self.swap_pauses.append(clock.now() - start)
         self.swaps += 1
         if self.config.record_checksums:
             self.checksum_history.append(self.serving_checksum(fleet))
 
-    def serving_checksum(self, fleet: HebbianFleet | None) -> str:
+    def serving_checksum(self, fleet: HebbianFleet) -> str:
         """Digest of the weights queries are currently answered from."""
-        if fleet is not None and self.slot >= 0:
-            weights = fleet.lane_weights(self.slot)
-        else:
-            weights = self.live_net().w_out
+        weights = fleet.lane_weights(self.slot)
         return hashlib.blake2b(np.ascontiguousarray(weights).tobytes(),
                                digest_size=16).hexdigest()
 
@@ -457,9 +425,7 @@ class PrefetchService:
         self.faults = faults if faults is not None else FaultPlan()
         self._prototype = SparseHebbianNetwork(
             HebbianConfig(vocab_size=config.vocab_size, seed=config.seed))
-        self._fleet: HebbianFleet | None = (
-            HebbianFleet(self._prototype, n_lanes=8, reserve=True)
-            if config.stacked else None)
+        self._fleet = HebbianFleet(self._prototype, n_lanes=8, reserve=True)
         self.ring: EventRing[ServeEvent] = EventRing(config.ring_capacity)
         self.batcher = RequestBatcher(config.max_batch)
         self._train_queue: EventRing[_TrainTask] = EventRing(
@@ -559,16 +525,11 @@ class PrefetchService:
         fleet = self._fleet
         for lane, item in staged:
             lane.pre_advance(item, fleet, self.clock)
-        if fleet is not None and staged:
-            probs = fleet.step_lanes(
-                [lane.slot for lane, _ in staged],
-                [item.class_id for _, item in staged],
-                [False] * len(staged))
-            for i, (lane, item) in enumerate(staged):
-                lane.post_advance(probs[i], item)
-        else:
-            for lane, item in staged:
-                lane.post_advance(lane.step_scalar(item), item)
+        probs = fleet.step_lanes([lane.slot for lane, _ in staged],
+                                 [item.class_id for _, item in staged],
+                                 [False] * len(staged))
+        for i, (lane, item) in enumerate(staged):
+            lane.post_advance(probs[i], item)
         self.events_processed += len(staged)
         if self.telemetry is not None:
             self.telemetry.counter("serve_events_processed", len(staged))
@@ -599,23 +560,19 @@ class PrefetchService:
         return True
 
     def _rollouts(self, lanes: dict[int, TenantLane]) -> dict[int, Rollout]:
-        """One rollout per distinct non-gated lane — batched through the
-        fleet when stacked (rollouts are read-only, so tickets for the
-        same tenant in one batch share the result)."""
-        fleet = self._fleet
+        """One rollout per distinct non-gated lane, batched through the
+        fleet (rollouts are read-only, so tickets for the same tenant in
+        one batch share the result)."""
         live = [(tenant, lane) for tenant, lane in lanes.items()
                 if not lane.would_gate()]
         if not live:
             return {}
-        if fleet is not None:
-            width = self.config.prefetch_width
-            length = self.config.prefetch_length
-            rolls = fleet.rollout_lanes([lane.slot for _, lane in live],
-                                        [width] * len(live),
-                                        [length] * len(live))
-            return {tenant: roll
-                    for (tenant, _), roll in zip(live, rolls)}
-        return {tenant: lane.live_rollout() for tenant, lane in live}
+        width = self.config.prefetch_width
+        length = self.config.prefetch_length
+        rolls = self._fleet.rollout_lanes([lane.slot for _, lane in live],
+                                          [width] * len(live),
+                                          [length] * len(live))
+        return {tenant: roll for (tenant, _), roll in zip(live, rolls)}
 
     # -- the trainer actor's round ----------------------------------------
     def train_once(self) -> bool:
@@ -727,8 +684,7 @@ class PrefetchService:
         lane = TenantLane(tenant, config, manager,
                           make_encoder(config.encoder, config.vocab_size,
                                        config.granularity), replay)
-        if self._fleet is not None:
-            lane.adopt(self._fleet)
+        lane.adopt(self._fleet)
         if config.record_checksums:
             lane.checksum_history.append(lane.serving_checksum(self._fleet))
         return lane

@@ -12,8 +12,7 @@ per access.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..memsim.pagecache import PageCache
@@ -54,11 +53,6 @@ class NullTelemetry:
 
     def counter(self, name: str, amount: int = 1) -> None:
         del name, amount
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        del name
-        yield
 
 
 #: Shared default instance; stateless, safe across runs and processes.

@@ -9,7 +9,7 @@ per-access/per-span code either way, just restarted at boundary indices,
 and the boundary restarts are exact by the segmented-engine equivalence
 argument in :mod:`repro.memsim.simulator`.
 
-Wall-clock reads (``perf_counter`` for run timing and named timers) are
+Wall-clock reads (``perf_counter`` for run timing) are
 confined to this module, which is outside repro-lint's RL002 simulation
 zones by design.
 """
@@ -20,9 +20,8 @@ import json
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from ..harness.runner import spec_key
 from .manifest import build_manifest, run_spec
@@ -49,7 +48,8 @@ class Telemetry(NullTelemetry):
         interval: Accesses per window.
         windows: Per-window records of the last (or current) run.
         counters: Named monotone counters bumped via :meth:`counter`.
-        timers: Accumulated seconds per named :meth:`timer` block.
+        timers: Accumulated seconds per named phase; callers such as
+            ``run_fleet`` add to it directly.
     """
 
     enabled = True
@@ -121,19 +121,10 @@ class Telemetry(NullTelemetry):
             }
         self._finished = True
 
-    # -- named counters/timers --------------------------------------------
+    # -- named counters ---------------------------------------------------
 
     def counter(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.timers[name] = self.timers.get(name, 0.0) + elapsed
 
     # -- output -----------------------------------------------------------
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cls_prefetcher import CLSPrefetcher, CLSPrefetcherConfig
+from repro.core.cls_prefetcher import (CLSPrefetcher, CLSPrefetcherConfig,
+                                       decode_pages)
+from repro.core.encoding import OOV_CLASS
 from repro.memsim.events import MissEvent
 from repro.memsim.simulator import SimConfig, baseline_misses, simulate
 from repro.nn.hebbian import HebbianConfig
@@ -131,6 +133,23 @@ class TestOnMiss:
         prefetcher.reset_stream()
         assert prefetcher.on_miss(miss(11, 0x900000)) == []
 
+    @pytest.mark.parametrize("mode", ["direct", "rollout"])
+    def test_first_miss_after_reset_is_not_scored(self, mode):
+        """A reset forgets every earlier prediction, so the first miss
+        after it leaves the accuracy EMA alone (direct mode used to score
+        it against a prediction made before the reset)."""
+        prefetcher = CLSPrefetcher(small_config(
+            encoder="page", vocab_size=32, prefetch_length=2,
+            prediction_mode=mode,
+            hebbian=HebbianConfig(vocab_size=32, hidden_dim=150, seed=0)))
+        for i in range(200):
+            prefetcher.on_miss(miss(i, (i % 8) * 4096))
+        assert prefetcher.accuracy_ema > 0.5
+        before = prefetcher.accuracy_ema
+        prefetcher.reset_stream()
+        prefetcher.on_miss(miss(200, 5 * 4096))
+        assert prefetcher.accuracy_ema == before
+
 
 class TestAvailabilityIntegration:
     def test_shadow_protocol_wired(self):
@@ -213,3 +232,33 @@ class TestPhaseHinting:
         for i in range(20, 40):
             prefetcher.on_miss(miss(i, i * 4096))
         assert prefetcher.stats.replayed_pairs > 0
+
+
+#: Class -> page delta for the decode table below; class 5 is unknown
+#: (undecodable), and the OOV class would decode if it were not skipped.
+_DELTAS = {OOV_CLASS: 3, 1: 1, 2: 2, 3: 0, 4: -1}
+_MISS_PAGE = 10
+
+
+def _decode(class_id: int, base: int) -> int | None:
+    delta = _DELTAS.get(class_id)
+    return None if delta is None else base + delta * 4096
+
+
+@pytest.mark.parametrize("rollout, min_confidence, prefix, pages, suppressed", [
+    ([[(1, .9), (2, .05), (4, .01)]], .1, [], [11], 2),
+    ([[(1, .05)], [(1, .9)]], .1, [], [12], 1),
+    ([[(OOV_CLASS, .9), (1, .5)]], 0., [], [11], 0),
+    ([[(3, .9), (1, .5)]], 0., [], [11], 0),
+    ([[(1, .9), (2, .5)], [(1, .9), (4, .5)]], 0., [], [11, 12], 0),
+    ([[(2, .9), (1, .5)]], 0., [12], [12, 11], 0),
+    ([[(1, .9)], [(1, .9)], [(1, .9)]], 0., [], [11, 12, 13], 0),
+    ([[(5, .9), (1, .5)], [(2, .9)]], 0., [], [11], 0),
+], ids=["suppression-count", "suppressed-top1-still-chains", "oov-skip",
+        "miss-page-excluded", "duplicate-excluded", "prefix-deduped",
+        "chains-on-top1", "chain-breaks-on-undecodable-top1"])
+def test_decode_pages(rollout, min_confidence, prefix, pages, suppressed):
+    out = list(prefix)
+    assert decode_pages(rollout, _MISS_PAGE * 4096, _MISS_PAGE, _decode, 12,
+                        min_confidence, out) == suppressed
+    assert out == pages

@@ -13,9 +13,9 @@ exactly — no tolerances:
 - the §5.5 confidence EMA and redeploy count,
 - the self-monitored accuracy EMA.
 
-Parametrized over stacked/scalar serving and replay on/off, so the
-fleet-batched path and the background-replay path are each held to the
-same bit-identity bar.
+Parametrized over replay on/off, so the background-replay path is held
+to the same bit-identity bar, plus a synthetic two-tenant stream with no
+confidence or accuracy gating, where every rollout is decoded.
 """
 
 from __future__ import annotations
@@ -51,13 +51,23 @@ class _RecordingPrefetcher(CLSPrefetcher):
                                     timestamp)
 
 
-def _offline_config(tenant: int, replay: str | None) -> CLSPrefetcherConfig:
+#: Case -> (replay policy, min_confidence, min_accuracy, root seed).
+CASES: dict[str, tuple[str | None, float, float, int]] = {
+    "no-replay": (None, 0.01, 0.05, GLOBAL_SEED),
+    "replay": ("full", 0.01, 0.05, GLOBAL_SEED),
+    "synthetic": (None, 0.0, 0.0, 5),
+}
+
+
+def _offline_config(tenant: int, replay: str | None,
+                    min_confidence: float = 0.01, min_accuracy: float = 0.05,
+                    seed: int = GLOBAL_SEED) -> CLSPrefetcherConfig:
     return CLSPrefetcherConfig(
         vocab_size=VOCAB, prefetch_length=2, prefetch_width=2,
-        min_confidence=0.01, min_accuracy=0.05,
+        min_confidence=min_confidence, min_accuracy=min_accuracy,
         replay_policy=replay, availability=True, phase_detection=False,
-        hebbian=HebbianConfig(vocab_size=VOCAB, seed=GLOBAL_SEED),
-        seed=spawn_seeds(GLOBAL_SEED, N_TENANTS)[tenant])
+        hebbian=HebbianConfig(vocab_size=VOCAB, seed=seed),
+        seed=spawn_seeds(seed, N_TENANTS)[tenant])
 
 
 def _record_streams(replay: str | None
@@ -75,24 +85,32 @@ def _record_streams(replay: str | None
     return streams
 
 
-@pytest.mark.parametrize("stacked", [True, False],
-                         ids=["stacked", "scalar"])
-@pytest.mark.parametrize("replay", [None, "full"],
-                         ids=["no-replay", "replay"])
-def test_lockstep_daemon_matches_offline(stacked: bool,
-                                         replay: str | None) -> None:
+def _recorded_events(replay: str | None) -> list[tuple[int, int, int]]:
+    """The recorded streams, interleaved round-robin into one feed."""
     streams = _record_streams(replay)
-    # Interleave tenant streams round-robin into one daemon feed.
     events: list[tuple[int, int, int]] = []
     for step in range(max(len(s) for s in streams.values())):
         for tenant in range(N_TENANTS):
             if step < len(streams[tenant]):
                 address, timestamp = streams[tenant][step]
                 events.append((tenant, address, timestamp))
+    return events
 
-    # Fresh offline references replaying the recorded streams.
-    refs = {t: CLSPrefetcher(_offline_config(t, replay))
-            for t in range(N_TENANTS)}
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_lockstep_daemon_matches_offline(case: str) -> None:
+    replay, min_confidence, min_accuracy, seed = CASES[case]
+    if case == "synthetic":
+        events = [(t, 4096 * ((i * (t + 3)) % 40), i)
+                  for i in range(120) for t in range(2)]
+    else:
+        events = _recorded_events(replay)
+    tenants = sorted({tenant for tenant, _, _ in events})
+
+    # Fresh offline references replaying the same feed.
+    refs = {t: CLSPrefetcher(_offline_config(t, replay, min_confidence,
+                                             min_accuracy, seed))
+            for t in tenants}
     offline: list[list[int]] = []
     for tenant, address, timestamp in events:
         offline.append(refs[tenant].on_miss_fast(
@@ -100,9 +118,8 @@ def test_lockstep_daemon_matches_offline(stacked: bool,
 
     service = PrefetchService(
         ServeConfig(vocab_size=VOCAB, prefetch_length=2, prefetch_width=2,
-                    min_confidence=0.01, min_accuracy=0.05,
-                    replay_policy=replay, stacked=stacked,
-                    seed=GLOBAL_SEED),
+                    min_confidence=min_confidence, min_accuracy=min_accuracy,
+                    replay_policy=replay, seed=seed),
         clock=VirtualClock())
     online = replay_lockstep(service, events)
 
@@ -124,32 +141,7 @@ def test_lockstep_daemon_matches_offline(stacked: bool,
         assert lane.replayed_pairs == ref.stats.replayed_pairs
     # The daemon actually redeployed somewhere, or this test pins nothing
     # about the availability protocol.
-    assert sum(service.lane(t).manager.redeploys
-               for t in range(N_TENANTS)) > 0
-
-
-def test_stacked_and_scalar_serving_agree() -> None:
-    """The fleet-batched serve path and the per-lane scalar path are the
-    same daemon bit for bit (mirrors the fleet's own equivalence suite,
-    at the service level)."""
-    events = [(t, 4096 * ((i * (t + 3)) % 40), i)
-              for i in range(120) for t in range(2)]
-
-    def run(stacked: bool) -> tuple[list[list[int]], list[np.ndarray]]:
-        service = PrefetchService(
-            ServeConfig(vocab_size=VOCAB, prefetch_length=2,
-                        prefetch_width=2, stacked=stacked, seed=5),
-            clock=VirtualClock())
-        answers = replay_lockstep(service, events)
-        weights = [np.array(service.lane(t).live_net().w_out)
-                   for t in range(2)]
-        return answers, weights
-
-    answers_stacked, weights_stacked = run(True)
-    answers_scalar, weights_scalar = run(False)
-    assert answers_stacked == answers_scalar
-    for stacked_w, scalar_w in zip(weights_stacked, weights_scalar):
-        assert np.array_equal(stacked_w, scalar_w)
+    assert sum(service.lane(t).manager.redeploys for t in tenants) > 0
 
 
 def test_lockstep_is_deterministic() -> None:

@@ -108,6 +108,21 @@ def test_serve_config_validation() -> None:
         ServeConfig(min_confidence=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("encoder", "bogus"),
+    ("training", "bogus"),
+    ("replay_policy", "bogus"),
+    ("ema_alpha", 0.0),
+    ("ema_alpha", 1.5),
+    ("max_staleness", 0),
+])
+def test_serve_config_rejects_at_construction(field: str, value: object) -> None:
+    """A bad value fails when the config is built, not later inside the
+    serve actor at the first ``serve_once()``."""
+    with pytest.raises(ValueError):
+        ServeConfig(**{field: value})
+
+
 def _drive_threaded(service: PrefetchService, n_events: int,
                     tenants: int, timeout: float = 30.0) -> list:
     """Run the service on real threads; returns the answered tickets."""

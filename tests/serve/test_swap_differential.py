@@ -9,9 +9,9 @@ the shadow trained, into the old live network and into the fleet slot.
 
 This suite keeps the old swap as a test-only oracle and runs both under
 the seeded virtual scheduler, mixing natural (confidence-EMA) swaps,
-``swap_on_query`` forced swaps and a ``poison_after_trains`` rejection,
-in stacked and scalar serving.  After every swap the fleet slot, the
-live and the shadow weights must be bitwise equal, and the whole run —
+``swap_on_query`` forced swaps and a ``poison_after_trains`` rejection.
+After every swap the fleet slot, the live and the shadow weights must be
+bitwise equal, and the whole run —
 answers, serving checksums, counters and final weights — must match
 the oracle's.
 """
@@ -37,7 +37,7 @@ VOCAB = 64
 TENANTS = 3
 
 
-def _full_copy_swap(self: TenantLane, fleet: HebbianFleet | None,  # repro-lint: zone=oracle
+def _full_copy_swap(self: TenantLane, fleet: HebbianFleet,  # repro-lint: zone=oracle
                     clock: Clock) -> None:
     """The release → clone → acquire hot swap, verbatim in effect.
 
@@ -50,8 +50,7 @@ def _full_copy_swap(self: TenantLane, fleet: HebbianFleet | None,  # repro-lint:
         self.swaps_rejected += 1
         return
     start = clock.now()
-    if fleet is not None:
-        fleet.release_lane(self.slot, self.live_net())
+    fleet.release_lane(self.slot, self.live_net())
     manager.live = manager.shadow
     manager.shadow = manager.live.clone()
     manager.redeploys += 1
@@ -59,8 +58,7 @@ def _full_copy_swap(self: TenantLane, fleet: HebbianFleet | None,  # repro-lint:
     manager.confidence_ema = max(manager.confidence_ema,
                                  manager.redeploy_below)
     manager.live.reset_state()
-    if fleet is not None:
-        self.slot = fleet.acquire_lane(self.live_net())
+    self.slot = fleet.acquire_lane(self.live_net())
     self.swap_pauses.append(clock.now() - start)
     self.swaps += 1
     if self.config.record_checksums:
@@ -102,10 +100,10 @@ class _Client:
         return True
 
 
-def _run(stacked: bool, seed: int) -> dict[str, Any]:
+def _run(seed: int) -> dict[str, Any]:
     service = PrefetchService(
         ServeConfig(vocab_size=VOCAB, record_checksums=True,
-                    stacked=stacked, max_staleness=16, seed=seed),
+                    max_staleness=16, seed=seed),
         clock=VirtualClock())
     client = _Client(service, 360)
     scheduler = VirtualScheduler(service.clock, seed=seed)
@@ -129,26 +127,24 @@ def _run(stacked: bool, seed: int) -> dict[str, Any]:
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "scalar"])
 def test_copy_free_swap_matches_full_copy_oracle(
-        stacked: bool, seed: int, monkeypatch: pytest.MonkeyPatch) -> None:
+        seed: int, monkeypatch: pytest.MonkeyPatch) -> None:
     swap = TenantLane._swap_locked
     checked = 0
 
-    def checked_swap(self: TenantLane, fleet: HebbianFleet | None,
+    def checked_swap(self: TenantLane, fleet: HebbianFleet,
                      clock: Clock) -> None:
         nonlocal checked
         swap(self, fleet, clock)
         live = self.live_net().w_out.tobytes()
         assert self.manager.shadow.w_out.tobytes() == live
-        if fleet is not None:
-            assert fleet.w_out[self.slot].tobytes() == live
+        assert fleet.w_out[self.slot].tobytes() == live
         checked += 1
 
     monkeypatch.setattr(TenantLane, "_swap_locked", checked_swap)
-    copy_free = _run(stacked, seed)
+    copy_free = _run(seed)
     monkeypatch.setattr(TenantLane, "_swap_locked", _full_copy_swap)
-    oracle = _run(stacked, seed)
+    oracle = _run(seed)
 
     counters = copy_free["counters"]
     # The mix the suite promises: forced swaps, natural swaps on top of
@@ -169,11 +165,9 @@ def test_copy_free_swap_matches_full_copy_oracle(
 @pytest.mark.parametrize("poison", [poison_weights, _poison_by_learn,
                                     _poison_by_punish],
                          ids=["setter", "learn", "punish"])
-@pytest.mark.parametrize("stacked", [True, False], ids=["stacked", "scalar"])
-def test_poisoned_shadow_is_rejected_at_admission(stacked: bool,
-                                                  poison: Any) -> None:
+def test_poisoned_shadow_is_rejected_at_admission(poison: Any) -> None:
     service = PrefetchService(
-        ServeConfig(vocab_size=VOCAB, stacked=stacked, seed=4),
+        ServeConfig(vocab_size=VOCAB, seed=4),
         clock=VirtualClock())
     replay_lockstep(service, [(0, 4096 * (3 * i % 40), i)
                               for i in range(30)], query_each=False)

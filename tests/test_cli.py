@@ -119,7 +119,7 @@ class TestCommands:
 
     def test_serve_run_scalar_matches_shape(self, capsys):
         assert main(["serve", "run", "--tenants", "2", "--n", "80",
-                     "--vocab", "32", "--scalar"]) == 0
+                     "--vocab", "32"]) == 0
         output = capsys.readouterr().out
         assert "events_processed" in output
 
